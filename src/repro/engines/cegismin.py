@@ -56,6 +56,7 @@ from repro.engines.encoding import HoleEncoding
 from repro.engines.verify import BoundedVerifier, outcomes_match
 from repro.explore import resolve_explorer
 from repro.mpy import nodes as N
+from repro.resilience.deadline import DeadlineTicker
 from repro.sat import SAT, Solver
 from repro.tilde.nodes import HoleRegistry
 from repro.tilde.semantics import assignment_cost
@@ -215,7 +216,13 @@ class CegisMinEngine(Engine):
             table_leaves += len(table)
             forker_runs += table.runs
             _, failing = verifier.table_verdict(table)
+            # A region can fail on tens of thousands of leaves. Blocking
+            # them after the deadline is wasted (the loop times out next
+            # anyway), so stop as soon as it passes.
+            ticker = DeadlineTicker(deadline)
             for leaf in failing:
+                if ticker.tick():
+                    raise TimeoutError("deadline passed while blocking")
                 block(leaf.cube)
 
         # Cost levels to try, in search order. Ascending exhausts level k

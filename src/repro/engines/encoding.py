@@ -109,26 +109,24 @@ class HoleEncoding:
                     break
         return assignment
 
-    def block_cube(self, cube: Dict[int, int]) -> None:
-        """Forbid every assignment agreeing with ``cube`` (a failed run)."""
-        clause = [
+    def _cube_clause(self, cube: Dict[int, int]) -> List[int]:
+        # An empty cube means the failing run read no holes at all: the
+        # program is wrong independently of any correction, and the empty
+        # clause makes the space empty.
+        return [
             -self.branch_vars[cid][branch] for cid, branch in sorted(cube.items())
         ]
-        if not clause:
-            # The failing run read no holes at all: the program is wrong
-            # independently of any correction — the space is empty.
-            self.solver.add_clause([])
-            return
-        self.solver.add_clause(clause)
+
+    def block_cube(self, cube: Dict[int, int]) -> None:
+        """Forbid every assignment agreeing with ``cube`` (a failed run)."""
+        self.solver.add_clause(self._cube_clause(cube))
 
     def block_cubes(self, cubes: Iterable[Dict[int, int]]) -> int:
-        """Block a batch of cubes (e.g. every failing leaf of an
+        """Block a batch of cubes in order (e.g. every failing leaf of an
         exploration table); returns how many clauses were added."""
-        count = 0
-        for cube in cubes:
-            self.block_cube(cube)
-            count += 1
-        return count
+        clauses = [self._cube_clause(cube) for cube in cubes]
+        self.solver.add_clauses(clauses)
+        return len(clauses)
 
     def block_assignment(self, assignment: Dict[int, int]) -> None:
         """Forbid one exact (canonical) assignment."""

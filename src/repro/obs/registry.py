@@ -33,24 +33,21 @@ import bisect
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: Default latency buckets (seconds): sub-millisecond cache hits through
-#: multi-second solver timeouts. ``+Inf`` is implicit.
+#: Default latency buckets (seconds), log-spaced at four per decade
+#: (1, 1.8, 3.2, 5.6) from 5.6 µs to 32 s: a few-µs queue wait, sub-ms
+#: cache hits and parse/render stages, and multi-second solver timeouts
+#: each land in a bucket at most 1.8x wide, so :func:`quantile` reads
+#: them to within tens of percent instead of pinning every sub-ms stage
+#: at one floor bucket. ``+Inf`` is implicit.
 LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.0005,
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-    30.0,
+    0.0000056,
+    0.00001, 0.000018, 0.000032, 0.000056,
+    0.0001, 0.00018, 0.00032, 0.00056,
+    0.001, 0.0018, 0.0032, 0.0056,
+    0.01, 0.018, 0.032, 0.056,
+    0.1, 0.18, 0.32, 0.56,
+    1.0, 1.8, 3.2, 5.6,
+    10.0, 18.0, 32.0,
 )
 
 

@@ -1,10 +1,14 @@
 """Unit tests for the metrics registry, snapshot algebra and exposition."""
 
+import bisect
+import math
+import random
 import threading
 
 import pytest
 
 from repro.obs import (
+    LATENCY_BUCKETS,
     MetricsRegistry,
     StageTimer,
     new_request_id,
@@ -18,6 +22,7 @@ from repro.obs.config import (
     resolve_slow_ms,
     using_obs,
 )
+from repro.obs.prometheus import parse
 
 
 class TestInstruments:
@@ -91,6 +96,67 @@ class TestQuantile:
 
     def test_inf_bucket_clamps_to_highest_bound(self):
         assert quantile(0.99, (1.0, 2.0), [0, 0, 5]) == 2.0
+
+
+def _exact_quantile(ordered, q):
+    """Nearest-rank quantile of a sorted sample."""
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+
+
+def _bucketed(values, buckets=LATENCY_BUCKETS):
+    counts = [0] * (len(buckets) + 1)
+    for value in values:
+        counts[bisect.bisect_left(buckets, value)] += 1
+    return counts
+
+
+class TestLatencyBuckets:
+    """The default buckets resolve every stage from µs queue waits to
+    multi-second solves: quantile error against the exact sample is
+    pinned on synthetic lognormal latencies across that whole range."""
+
+    #: q -> worst relative error allowed (measured: 0.08, 0.24, 0.35).
+    ERROR_BOUNDS = {0.5: 0.10, 0.9: 0.30, 0.99: 0.40}
+
+    def test_log_spaced_down_to_microseconds(self):
+        assert LATENCY_BUCKETS[0] <= 6e-6
+        assert LATENCY_BUCKETS[-1] >= 30.0
+        assert list(LATENCY_BUCKETS) == sorted(set(LATENCY_BUCKETS))
+        ratios = [b / a for a, b in zip(LATENCY_BUCKETS, LATENCY_BUCKETS[1:])]
+        assert max(ratios) <= 1.81
+
+    def test_quantile_error_against_exact_quantiles(self):
+        rng = random.Random(2013)
+        for median in (6e-6, 2e-5, 5e-5, 3e-4, 3e-3, 8e-2, 1.2, 7.0):
+            for sigma in (0.3, 0.8):
+                ordered = sorted(
+                    median * math.exp(rng.gauss(0.0, sigma))
+                    for _ in range(5000)
+                )
+                counts = _bucketed(ordered)
+                for q, bound in self.ERROR_BOUNDS.items():
+                    exact = _exact_quantile(ordered, q)
+                    estimate = quantile(q, LATENCY_BUCKETS, counts)
+                    error = abs(estimate - exact) / exact
+                    assert error <= bound, (median, sigma, q, exact, estimate)
+
+    def test_microsecond_stage_is_not_read_at_a_floor(self):
+        # A ~6µs queue wait once read as p50 = 0.25ms (40x) because the
+        # first bucket was 0.5ms wide.
+        rng = random.Random(6)
+        waits = [rng.uniform(4e-6, 8e-6) for _ in range(1000)]
+        p50 = quantile(0.5, LATENCY_BUCKETS, _bucketed(waits))
+        assert 4e-6 <= p50 <= 8e-6
+
+    def test_default_histogram_round_trips_through_exposition(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("stage_seconds", labelnames=("stage",))
+        for value in (3e-6, 6e-6, 4e-4, 0.02, 2.0, 45.0):
+            hist.observe(value, stage="queue_wait")
+        snapshot = registry.snapshot()
+        merged = MetricsRegistry()
+        merged.merge(parse(render(snapshot)))
+        assert merged.snapshot() == snapshot
 
     def test_registry_summary_shape(self):
         registry = MetricsRegistry()

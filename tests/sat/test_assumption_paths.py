@@ -25,10 +25,13 @@ unit facts. Any state leaked across calls diverges the two.
 """
 
 import random
+import zlib
 
 import pytest
 
+from repro.problems import all_problems, get_problem
 from repro.sat import SAT, UNSAT, Solver
+from tests.sat.reference_solver import ReferenceSolver, assert_lockstep
 
 
 class RecordingSolver(Solver):
@@ -41,6 +44,11 @@ class RecordingSolver(Solver):
     def add_clause(self, lits):
         self.clause_log.append(list(lits))
         return super().add_clause(lits)
+
+    def add_clauses(self, clauses):
+        clauses = [list(lits) for lits in clauses]
+        self.clause_log.extend(clauses)
+        return super().add_clauses(clauses)
 
 
 def fresh_verdict(clause_log, assumptions, num_vars=0):
@@ -235,7 +243,7 @@ class TestRandomizedAgainstFreshRebuild:
 # -- registry-problem encodings ----------------------------------------------
 
 
-def _registry_encoding(problem_name, source):
+def _registry_encoding(problem_name, source, solver_class):
     """The real SAT encoding of one submission's correction space."""
     from repro.core.rewriter import rewrite_submission
     from repro.engines.encoding import HoleEncoding
@@ -245,27 +253,46 @@ def _registry_encoding(problem_name, source):
     problem = get_problem(problem_name)
     module = parse_program(source)
     tilde, registry = rewrite_submission(module, problem.spec, problem.model)
-    solver = RecordingSolver()
+    solver = solver_class()
     encoding = HoleEncoding(solver, registry)
     return solver, encoding
 
 
-@pytest.mark.parametrize(
-    "problem_name",
-    ["iterPower-6.00x", "compDeriv-6.00x", "evalPoly-6.00x"],
-)
+def _random_cubes(rng, encoding, count):
+    """Cubes over 2-3 random holes: CEGISMIN-shaped failure regions."""
+    cids = sorted(encoding.branch_vars)
+    cubes = []
+    for _ in range(count):
+        chosen = rng.sample(cids, k=min(len(cids), rng.randint(2, 3)))
+        cubes.append(
+            {
+                cid: rng.randrange(len(encoding.branch_vars[cid]))
+                for cid in chosen
+            }
+        )
+    return cubes
+
+
+@pytest.mark.parametrize("problem_name", [p.name for p in all_problems()])
 def test_registry_encoding_assumption_sessions(problem_name):
-    """CEGISMIN-shaped workloads on real encodings ≡ fresh rebuilds.
+    """CEGISMIN-shaped workloads on real encodings ≡ fresh rebuilds, and
+    ≡ the reference solver step for step.
 
     Random cost-bound assumptions (the counting network), random branch
     pins (including contradictory one-hot pairs — the conflicting-
-    assumption path), and random blocked cubes, every call cross-checked.
+    assumption path), phase resets, blocked models and batches of
+    blocked cubes. Every call is cross-checked against a fresh rebuild
+    (verdict, model) and against the frozen reference solver run on the
+    same encoding (verdict, ``stats``, ``model()``).
     """
-    from repro.problems import get_problem
-
     source = get_problem(problem_name).spec.reference_source
-    solver, encoding = _registry_encoding(problem_name, source)
-    rng = random.Random(hash(problem_name) % 10_000)
+    solver, encoding = _registry_encoding(
+        problem_name, source, RecordingSolver
+    )
+    oracle, oracle_encoding = _registry_encoding(
+        problem_name, source, ReferenceSolver
+    )
+    rng = random.Random(zlib.crc32(problem_name.encode()))
     branch_vars = [
         var for variables in encoding.branch_vars.values() for var in variables
     ]
@@ -281,18 +308,38 @@ def test_registry_encoding_assumption_sessions(problem_name):
             var = rng.choice(branch_vars)
             assumptions += [var, -var]
         rng.shuffle(assumptions)
+        if rng.random() < 0.5:
+            encoding.reset_phases()
+            oracle_encoding.reset_phases()
         got = solver.solve(assumptions)
+        assert_lockstep(
+            solver,
+            oracle,
+            got,
+            oracle.solve(assumptions),
+            f"{problem_name} step {step}",
+        )
         want = fresh_verdict(
             solver.clause_log, assumptions, num_vars=solver.num_vars
         )
         assert got == want, f"{problem_name} step {step}: {got} != {want}"
         if got == SAT:
             check_model_under(solver, solver.clause_log, assumptions)
-            # Grow the instance the way the engine does: block the model.
-            encoding.block_assignment(encoding.assignment_from_model())
+            # Grow the instance the way the engine does: block the model,
+            # then (sometimes) a batch of failure regions.
+            assignment = encoding.assignment_from_model()
+            assert assignment == oracle_encoding.assignment_from_model()
+            encoding.block_assignment(assignment)
+            oracle_encoding.block_assignment(assignment)
+        if rng.random() < 0.6 and branch_vars:
+            cubes = _random_cubes(rng, encoding, rng.randint(0, 12))
+            assert encoding.block_cubes(cubes) == len(cubes)
+            oracle_encoding.block_cubes(cubes)
     # Final assumption-free answer ≡ fresh rebuild: all the UNSAT calls
     # above (conflicting/doomed assumptions) must not have latched
     # ``_unsat`` — only genuine formula-level contradictions may.
-    assert solver.solve() == fresh_verdict(
+    got = solver.solve()
+    assert_lockstep(solver, oracle, got, oracle.solve(), problem_name)
+    assert got == fresh_verdict(
         solver.clause_log, (), num_vars=solver.num_vars
     )

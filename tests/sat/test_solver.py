@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat import SAT, UNSAT, Solver
+from tests.sat.reference_solver import ReferenceSolver
 
 
 def brute_force(num_vars, clauses, assumptions=()):
@@ -247,14 +248,15 @@ class TestOrderHeap:
 
     Decision order is observable through ``stats`` (decisions, conflicts,
     restarts all depend on which variable is picked first), so equal
-    stats across the two pickers on random instances pins the heap to
-    the reference semantics: highest activity wins, ties break toward
-    the smallest variable index.
+    stats between this solver and the reference oracle driven by its
+    O(num_vars) linear picker, on random instances, pins the heap to the
+    reference semantics: highest activity wins, ties break toward the
+    smallest variable index.
     """
 
     def _paired_solvers(self):
         heap_solver = Solver()
-        linear_solver = Solver()
+        linear_solver = ReferenceSolver()
         linear_solver._pick_branch_var = (
             linear_solver._pick_branch_var_linear
         )
@@ -279,6 +281,7 @@ class TestOrderHeap:
                     solver.add_clause(list(clause))
             assert heap_solver.solve() == linear_solver.solve(), trial
             assert heap_solver.stats == linear_solver.stats, trial
+            assert heap_solver.model() == linear_solver.model(), trial
 
     def test_matches_under_incremental_assumptions(self):
         rng = random.Random(13)
@@ -299,6 +302,7 @@ class TestOrderHeap:
                 assumptions=assumptions
             ) == linear_solver.solve(assumptions=assumptions), step
             assert heap_solver.stats == linear_solver.stats, step
+            assert heap_solver.model() == linear_solver.model(), step
 
     def test_unassigned_vars_reenter_heap_after_backtrack(self):
         solver = Solver()
