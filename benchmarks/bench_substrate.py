@@ -11,19 +11,25 @@ shapes the engines use:
   stateful-module path);
 - ``interp``           — tree-walker, interpreter reused across runs (the
   engines' default interpreter hot loop);
-- ``compiled``         — the closure-compiled backend, lowered once.
+- ``compiled``         — the compiled backend, lowered once to generated
+  Python source.
 
 Plus the CEGIS-shaped pair (``candidate_interp`` / ``candidate_compiled``)
 that alternates hole assignments between runs — the loop Table 1 spends
 its time in. A session finalizer writes every mean to
-``BENCH_substrate.json`` at the repo root so the perf trajectory is
-tracked PR-over-PR, and the final test enforces the compiled backend's
-contract: ≥3x the reused tree-walker on the same workload.
+``BENCH_substrate.json`` at the repo root, with the machine fingerprint
+(cores, Python, platform, git sha) the numbers were taken on, so the
+perf trajectory is tracked PR-over-PR; the final test enforces the
+compiled backend's contract: ≥3x the reused tree-walker on the same
+workload.
 """
 
 import json
+import os
 import pathlib
+import platform
 import random
+import subprocess
 import time
 
 import pytest
@@ -47,6 +53,30 @@ _BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / (
 )
 
 
+def _git(*args: str) -> str:
+    try:
+        return subprocess.run(
+            ["git", *args],
+            cwd=_BENCH_JSON.parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return ""
+
+
+def _fingerprint() -> dict:
+    """Where the timings were taken: cores, Python, platform, checkout."""
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "git_sha": _git("rev-parse", "HEAD") or None,
+        "git_dirty": bool(_git("status", "--porcelain", "--", "src")),
+    }
+
+
 def _record(name: str, benchmark) -> None:
     _SUBSTRATE_RESULTS[name] = {
         "mean_s": benchmark.stats.stats.mean,
@@ -66,6 +96,7 @@ def _write_substrate_json():
             "Fig. 2 candidate space under alternating hole assignments"
         ),
         "unix_time": time.time(),
+        "fingerprint": _fingerprint(),
         "timings": _SUBSTRATE_RESULTS,
     }
     speedups = {}
@@ -110,7 +141,7 @@ def test_interpreter_reuse_throughput(benchmark):
 
 
 def test_compiled_throughput(benchmark):
-    """Closure-compiled backend: lowered once, run at closure speed."""
+    """Compiled backend: lowered once, run as generated Python."""
     module = parse_program(DERIV.spec.reference_source)
     program = compile_program(module)
 

@@ -476,7 +476,7 @@ def main(argv: Optional[list] = None) -> int:
         default=None,
         choices=list(BACKENDS),
         help=(
-            "execution substrate: 'compiled' (closure-compiled, default) "
+            "execution substrate: 'compiled' (generated Python, default) "
             "or 'interp' (tree-walking interpreter escape hatch); also "
             "settable via REPRO_BACKEND"
         ),

@@ -1,18 +1,21 @@
-"""Closure-compiled execution backend for (M̃)PY programs.
+"""Compiled execution backend for (M̃)PY programs.
 
 The engines' hot loop is candidate evaluation: run a hole-rewritten tree
 over hundreds of bounded inputs, for thousands of candidates. The
 tree-walking interpreter pays a string-``getattr`` dispatch plus several
 Python frames per AST node per input per candidate; this package lowers
-the tree **once** into nested Python closures (:mod:`.compiler`), so
-repeated runs skip all dispatch and name-resolution work, and choice
-nodes become branch tables indexed by a shared assignment array —
-switching candidates is an array write, with zero recompilation.
+the tree **once** to generated Python source (:mod:`.compiler`) — one
+plain function per M̃PY function body, built with a single ``exec`` — so
+repeated runs execute straight-line bytecode with no dispatch or
+name-resolution work, and choice nodes become ``if``/``elif`` ladders
+over a shared assignment array — switching candidates is an array write,
+with zero recompilation.
 
-Semantics are bit-identical to :mod:`repro.mpy.interp` by construction
-(operator semantics are the interpreter's own methods, borrowed by the
-:class:`~repro.compile.runtime.Machine`) and by the differential suite in
-``tests/compile/``. :mod:`.backend` selects between the two substrates
+Semantics are bit-identical to :mod:`repro.mpy.interp` (operator
+semantics are the interpreter's own methods, borrowed by the
+:class:`~repro.compile.runtime.Machine`; fuel, first-read cube order and
+error messages are pinned by the differential suite in
+``tests/compile/``). :mod:`.backend` selects between the two substrates
 (``REPRO_BACKEND`` / CLI ``--backend`` escape hatch).
 """
 

@@ -2,8 +2,8 @@
 
 Two substrates execute (M̃)PY programs:
 
-- ``"compiled"`` — the closure-compilation backend of this package
-  (default: compile once, run candidates at near-native speed);
+- ``"compiled"`` — the generated-source backend of this package
+  (default: lower once, run candidates as plain Python bytecode);
 - ``"interp"`` — the tree-walking interpreter of :mod:`repro.mpy.interp`
   (the escape hatch, and the semantic reference the differential suite
   holds the compiler to).

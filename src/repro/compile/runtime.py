@@ -1,8 +1,8 @@
-"""Runtime substrate of the closure-compiled execution backend.
+"""Runtime substrate of the compiled execution backend.
 
-The compiler (:mod:`repro.compile.compiler`) lowers an M̃PY tree into nested
-Python closures; this module provides the mutable state those closures run
-against:
+The compiler (:mod:`repro.compile.compiler`) lowers an M̃PY tree into
+generated Python functions; this module provides the mutable state those
+functions run against:
 
 - :class:`Machine` — fuel, captured stdout, recursion depth, globals.
   Operator semantics (``binary_op``, ``compare_op``, indexing, method
@@ -43,34 +43,12 @@ class _Undef:
 UNDEF = _Undef()
 
 
-class _Signal:
-    """Non-local control flow as return values, not exceptions.
-
-    Compiled statement thunks return ``None`` to continue, :data:`BREAK` /
-    :data:`CONTINUE` (loop signals), or a :class:`ReturnBox` carrying a
-    function's return value; block thunks propagate any non-``None``
-    result outward. This keeps the interpreter's control-flow semantics
-    while skipping CPython's exception raise/catch machinery on the
-    hottest edge of all — every function return.
-    """
-
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        self.label = label
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<signal {self.label}>"
-
-
-BREAK = _Signal("break")
-CONTINUE = _Signal("continue")
-
-
 class ReturnBox:
-    """A ``return`` in flight. One box per machine: every box is consumed
-    by the nearest enclosing call before another return can be issued, so
-    reuse is safe and keeps returns allocation-free."""
+    """A ``return`` in flight: a compiled function body returns ``None``
+    (fell off its end) or this box holding the value. One box per machine:
+    every box is consumed by the nearest enclosing call before another
+    return can be issued, so reuse is safe and keeps returns
+    allocation-free."""
 
     __slots__ = ("value",)
 
@@ -185,7 +163,7 @@ class Machine:
                 self.depth -= 1
             if signal is None:
                 return None
-            return signal.value  # a ReturnBox; loop signals cannot escape
+            return signal.value  # the ReturnBox
         if isinstance(fn, BuiltinFunction):
             self.fuel -= 1
             if self.fuel < 0:

@@ -2,11 +2,11 @@
 
 :class:`CandidateSpace` is the engines' shared view of one M̃PY search
 space: the tilde module, its hole registry, and an execution substrate
-(compiled closures by default, the tree-walker as escape hatch). It
+(generated Python by default, the tree-walker as escape hatch). It
 serves both access patterns the engines need:
 
 - **per-candidate** — :meth:`CandidateSpace.outcome` runs one assignment
-  on one input (an array write + a closure call on the compiled backend);
+  on one input (an array write + a function call on the compiled backend);
 - **per-input** — :meth:`CandidateSpace.explore` forks at every choice
   point the input's execution reads and returns the complete
   (touched-hole cube → outcome) table for that input, the all-candidates-
@@ -94,7 +94,7 @@ class CandidateSpace:
     """One M̃PY candidate space, executable and explorable.
 
     Under the default ``compiled`` backend the module is lowered to
-    closures exactly once; switching candidates is an assignment-array
+    Python exactly once; switching candidates is an assignment-array
     write (zero recompilation). The ``interp`` backend is the tree-walker
     escape hatch, reusing one interpreter when the module carries no
     top-level state. ``backend=None`` defers to the process default

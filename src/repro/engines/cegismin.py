@@ -42,6 +42,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import time
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engines.base import (
@@ -130,7 +131,10 @@ class CegisMinEngine(Engine):
         solver = Solver()
         encoding = HoleEncoding(solver, registry)
         blocked: List[Dict[int, int]] = []  # for non-incremental rebuilds
-        blocked_keys: Set[frozenset] = set()
+        #: Every blocked cube, as its sorted (cid, branch) pairs flattened
+        #: into one tuple: a time-bound run can block tens of thousands of
+        #: cubes, and this is the compact form that stays alive for them.
+        blocked_keys: Set[Tuple[int, ...]] = set()
         #: SAT statistics of solvers discarded by non-incremental rebuilds;
         #: reported totals are base + the live solver (whole-run numbers).
         sat_base = {key: 0 for key in solver.stats}
@@ -166,7 +170,7 @@ class CegisMinEngine(Engine):
                 wall_time=time.monotonic() - start,
                 stats={
                     "sat_calls": sat_calls,
-                    "blocked_cubes": len(blocked),
+                    "blocked_cubes": len(blocked_keys),
                     "table_leaves": table_leaves,
                     "forker_runs": forker_runs,
                     "candidate_runs": space.run_count,
@@ -188,11 +192,12 @@ class CegisMinEngine(Engine):
             )
 
         def block(cube: Dict[int, int]) -> None:
-            key = frozenset(cube.items())
+            key = tuple(chain.from_iterable(sorted(cube.items())))
             if key in blocked_keys:
                 return
             blocked_keys.add(key)
-            blocked.append(cube)
+            if not self.incremental:
+                blocked.append(cube)
             encoding.block_cube(cube)
 
         def block_failures(assignment: Dict[int, int], args: tuple) -> None:

@@ -96,28 +96,29 @@ def assignments_up_to_cost(
             parent = infos[parent_cid].parent
         return True
 
-    def dfs(index: int, partial: Dict[int, int], cost: int):
+    def dfs(index: int, partial: Dict[int, int], cost: int, target: int):
         if index == len(holes):
-            yield dict(partial), cost
+            if cost == target:
+                yield dict(partial), cost
             return
         info = holes[index]
         if not active(info, partial):
-            yield from dfs(index + 1, partial, cost)
+            yield from dfs(index + 1, partial, cost, target)
             return
         for branch in range(info.arity):
             extra = 0 if (branch == 0 or info.free) else 1
-            if cost + extra > max_cost:
+            # Costs only grow down the tree: past the target, no leaf
+            # below can be yielded at this level.
+            if cost + extra > target:
                 continue
             if branch != 0:
                 partial[info.cid] = branch
-            yield from dfs(index + 1, partial, cost + extra)
+            yield from dfs(index + 1, partial, cost + extra, target)
             partial.pop(info.cid, None)
 
     # Cost-ordered: run the DFS per target cost level.
     for target in range(max_cost + 1):
-        for assignment, cost in dfs(0, {}, 0):
-            if cost == target:
-                yield assignment, cost
+        yield from dfs(0, {}, 0, target)
 
 
 class EnumerativeEngine(Engine):

@@ -85,7 +85,7 @@ class BoundedVerifier:
     """Precomputed reference outcomes + candidate sweeps for one problem.
 
     ``backend`` selects the reference-side execution substrate (compiled
-    closures by default; ``None`` defers to the process-wide default).
+    Python by default; ``None`` defers to the process-wide default).
     """
 
     def __init__(self, spec: ProblemSpec, backend: Optional[str] = None):
@@ -132,9 +132,12 @@ class BoundedVerifier:
 
         Calibrated from the reference's worst-case step count over the
         bounded space: generous enough for any reasonable algorithm (16x
-        the reference, floor 512), small enough that non-terminating
-        student loops (``i += 0``) fail in microseconds instead of
-        exhausting a fixed multi-thousand-step budget on every run.
+        the reference, floor 512), small enough to cap what a
+        non-terminating student loop (``i += 0``) costs. The cap is not
+        free: an exhausting run executes its whole budget. Over the
+        Table 1 slice of ``perfbench`` (2-core x86-64 Linux, CPython 3.11)
+        such runs average ~0.15 ms on the compiled backend — about 7.4k
+        runs and 1.1 s of a ~14 s pass.
         """
         self._materialize()
         return min(self.spec.fuel, max(512, 16 * self._max_reference_steps))

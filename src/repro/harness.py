@@ -92,7 +92,7 @@ def run_problem(
     α-renamed) submissions are solved once, and ``jobs > 1`` fans the
     distinct ones out over a process pool. ``engine`` instances are a
     serial-only feature; parallel runs name their engine. ``backend``
-    selects the execution substrate (compiled closures by default);
+    selects the execution substrate (compiled Python by default);
     ``explorer`` toggles exploration-table blocking (on by default —
     ``False`` is the per-candidate-sweep ablation).
     """

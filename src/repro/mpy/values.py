@@ -120,12 +120,20 @@ def from_multitype(boxed: MultiType):
     raise MPYError(f"cannot unbox value of flag {boxed.flag}")
 
 
+#: Runtime value types that are never copied (immutable scalars).
+ATOMIC_TYPES = frozenset((int, bool, float, str, type(None)))
+
+
 def clone_value(value):
     """Deep-copy a runtime value so callee mutation cannot leak across runs."""
     if isinstance(value, list):
-        return [clone_value(v) for v in value]
+        return [
+            v if type(v) in ATOMIC_TYPES else clone_value(v) for v in value
+        ]
     if isinstance(value, tuple):
-        return tuple(clone_value(v) for v in value)
+        return tuple(
+            [v if type(v) in ATOMIC_TYPES else clone_value(v) for v in value]
+        )
     if isinstance(value, dict):
         return {k: clone_value(v) for k, v in value.items()}
     return value

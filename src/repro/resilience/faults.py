@@ -23,8 +23,14 @@ triggers::
 Worker processes: the :class:`~repro.service.workers.ProcessExecutor`
 ships :func:`active_spec` to each worker at fork time, so a plan armed
 in the parent — even after startup, for respawn tests — governs the
-children regardless of the multiprocessing start method. Count triggers
-are therefore **per process**: each worker consumes its own copy.
+children regardless of the multiprocessing start method. A counted
+``worker.*`` fault fires in the child, so its count is **handed over**,
+not copied: the first worker forked after arming receives the remaining
+budget and the parent's copy drops to zero. A counted worker fault thus
+fires at most ``n`` times per pool, all in that first worker — a
+watchdog respawn does not re-arm it, and in a sharded pool it fires only
+if that worker's shard is graded — while an uncounted one arms every
+spawn. Counts of the other points stay per process.
 
 Every fired fault counts into ``repro_faults_injected_total{point=...}``
 (observability on), so ``/metrics`` shows exactly what the chaos run
@@ -138,7 +144,9 @@ class FaultPlan:
 
     def spec(self) -> str:
         """Serialize back to the ``REPRO_FAULTS`` grammar (for shipping
-        the live plan to a freshly forked worker)."""
+        the live plan to a freshly forked worker). The remaining counts
+        of ``worker.*`` points move into the spec, leaving this plan's
+        copies at zero: those faults fire in the worker, not here."""
         parts = []
         with self._lock:
             for fault in self._faults.values():
@@ -147,6 +155,8 @@ class FaultPlan:
                     piece += f":p={fault.probability:g}"
                 if fault.remaining is not None:
                     piece += f":n={fault.remaining}"
+                    if fault.point.startswith("worker."):
+                        fault.remaining = 0
                 if fault.delay_s is not None:
                     piece += f":delay={fault.delay_s:g}"
                 parts.append(piece)
@@ -243,7 +253,9 @@ def reset() -> None:
 
 
 def active_spec() -> Optional[str]:
-    """The live plan serialized for a forked worker, or None."""
+    """The live plan serialized for a worker about to be forked, or
+    None. Hands the remaining counts of counted ``worker.*`` faults over
+    to that worker (see :meth:`FaultPlan.spec`)."""
     if not enabled():
         return None
     assert _PLAN is not None

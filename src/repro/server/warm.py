@@ -2,7 +2,7 @@
 
 A cold :func:`~repro.core.api.generate_feedback` call pays for parsing the
 reference, parsing + digesting the error model, compiling the reference to
-closures, and enumerating the reference's outcome on every input of the
+Python, and enumerating the reference's outcome on every input of the
 bounded space — none of which depends on the submission. A
 :class:`WarmProblem` does all of that once at server startup, so a request
 costs only what is genuinely per-submission (rewrite + solve).
@@ -47,7 +47,7 @@ class WarmProblem:
     #: Reference-outcome table, fully materialized (``verifier.inputs``
     #: forced); request threads share it read-only.
     verifier: BoundedVerifier
-    #: The reference lowered to closures once, proof the compiled backend
+    #: The reference lowered to Python once, proof the compiled backend
     #: is warm (the verifier's own reference executor is internal to it).
     #: ``None`` when the server runs the interp backend — compiling an
     #: artifact no request would use is pure startup waste.

@@ -34,15 +34,6 @@ from repro.symbolic.recorder import RecordingInterpreter
 
 PROBLEM_NAMES = [problem.name for problem in all_problems()]
 
-#: Problems whose candidate spaces the randomized-assignment sweep covers
-#: (spanning list, int, string and stdout-comparing specs).
-CANDIDATE_PROBLEMS = [
-    "compDeriv-6.00x",
-    "iterPower-6.00x",
-    "recurPower-6.00x",
-    "oddTuples-6.00x",
-]
-
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_reference_differential(name):
@@ -76,50 +67,74 @@ def test_corpus_differential(name):
     assert checked > 0
 
 
-@pytest.mark.parametrize("name", CANDIDATE_PROBLEMS)
+def _interp_recorded(tilde, function, args, assignment, fuel):
+    """The tree-walker's counterpart of ``CompiledProgram.run_recorded``:
+    a fresh interpreter per run, so top-level choice reads land in the
+    cube (two-phase construction keeps a failing top level's record)."""
+    interp = RecordingInterpreter.__new__(RecordingInterpreter)
+
+    def run():
+        interp.__init__(tilde, dict(assignment), fuel=fuel)
+        return interp.call(function, args)
+
+    outcome = observe(run)
+    return outcome, list(interp.touched.items()), interp.fuel
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_candidate_differential(name):
-    """Randomized hole assignments: outcome, cube and fuel all agree."""
+    """Randomized hole assignments through both candidate entries — the
+    engines' ``run`` and the path forker's ``run_recorded`` — agree on
+    outcome, message, stdout, remaining fuel and the cube *in first-read
+    order* (the order the forker replays decisions from)."""
     problem = get_problem(name)
     spec = problem.spec
+    function = spec.student_function
     corpus = generate_corpus(
-        problem, incorrect_count=2, correct_count=0, syntax_count=0, seed=3
+        problem, incorrect_count=3, correct_count=0, syntax_count=0, seed=3
     )
     rng = random.Random(zlib.crc32(name.encode()))
     inputs = sample_inputs(spec, 6)
+    checked = 0
     for submission in corpus.incorrect:
-        module = parse_program(submission.source)
-        tilde, registry = rewrite_submission(module, spec, problem.model)
+        try:
+            module = parse_program(submission.source)
+            tilde, registry = rewrite_submission(module, spec, problem.model)
+        except FrontendError:
+            continue
         holes = list(registry.holes())
         interp = RecordingInterpreter(tilde, {}, fuel=spec.fuel)
         program = compile_program(tilde, fuel=spec.fuel)
-        for trial in range(12):
+        for trial in range(24):
             assignment = {
                 hole.cid: rng.randrange(hole.arity)
                 for hole in holes
                 if rng.random() < 0.5
             }
             args = inputs[trial % len(inputs)]
+            where = f"{name}: under {assignment} on {args}"
             interp_outcome = observe(
-                lambda: interp.run(
-                    spec.student_function, args, assignment=assignment
-                )
+                lambda: interp.run(function, args, assignment=assignment)
             )
-            interp_cube = interp.cube()
-            interp_fuel = interp.fuel
             compiled_outcome = observe(
-                lambda: program.run(
-                    spec.student_function, args, assignment=assignment
-                )
+                lambda: program.run(function, args, assignment=assignment)
             )
-            assert compiled_outcome == interp_outcome, (
-                f"{name}: outcome mismatch under {assignment} on {args}"
+            assert compiled_outcome == interp_outcome, f"run outcome, {where}"
+            assert list(program.cube().items()) == list(
+                interp.cube().items()
+            ), f"run cube, {where}"
+            assert program.fuel == interp.fuel, f"run fuel, {where}"
+
+            expected = _interp_recorded(
+                tilde, function, args, assignment, spec.fuel
             )
-            assert program.cube() == interp_cube, (
-                f"{name}: cube mismatch under {assignment} on {args}"
+            outcome = observe(
+                lambda: program.run_recorded(function, args, assignment)
             )
-            assert program.fuel == interp_fuel, (
-                f"{name}: fuel mismatch under {assignment} on {args}"
-            )
+            actual = (outcome, list(program.cube().items()), program.fuel)
+            assert actual == expected, f"run_recorded, {where}"
+        checked += 1
+    assert checked > 0
 
 
 def test_default_assignment_equals_instantiated_default():

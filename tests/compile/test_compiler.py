@@ -1,4 +1,4 @@
-"""Targeted semantics tests for the closure compiler.
+"""Targeted semantics tests for the generated-source compiler.
 
 Each case pins a corner where a naive compiler would drift from the
 tree-walker: scoping dynamics, error-message wording, fuel-exhaustion
@@ -6,6 +6,8 @@ points, top-level state, and choice-node behavior.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import pytest
 
@@ -160,6 +162,173 @@ class TestErrorsAndFuel:
             5,
             ("a 5", "[5, (5, True)] None"),
         )
+
+
+#: Programs touching every inline fast path (int operators, comparisons,
+#: sequence indexing and item assignment, inlined builtins, method calls,
+#: comprehensions, closures, coalesced burns) for the fuel sweep below.
+FUEL_SWEEP = [
+    (
+        """def f(xs, n):
+    total = 0
+    i = 0
+    while i < len(xs):
+        total += xs[i] * n - i // 2 + i % 3
+        if total > 5 and i != 1:
+            xs[i] = total
+        i += 1
+    for j in range(n):
+        xs.append(abs(j - 2))
+    return [x + 1 for x in xs if x >= 0], total, xs[-1]
+""",
+        "f",
+        ([3, -1, 4], 3),
+    ),
+    (
+        """def g(s, t):
+    out = ()
+    for k in range(1, len(s)):
+        out = out + (s[k], t[k - 1])
+    pick = lambda v: v[0] if len(v) > 0 else None
+    return out, pick(out), s[::-1], "".join([c.upper() for c in s])
+""",
+        "g",
+        ("abcd", (7, 8, 9)),
+    ),
+    (
+        """def h(n):
+    def inner(k):
+        if k <= 1:
+            return 1
+        return k * inner(k - 1)
+    acc = []
+    while True:
+        acc.append(inner(n))
+        n -= 1
+        if n < 0:
+            break
+        continue
+    return acc
+""",
+        "h",
+        (5,),
+    ),
+    (
+        """def k(xs):
+    def tail(v):
+        w = v
+    xs.append(tail(1))
+    y = len(xs)
+    z = [y, y]
+""",
+        "k",
+        ([1, 2],),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "source,fn,args",
+    FUEL_SWEEP,
+    ids=["loops", "sequences", "closures", "fall-off-end"],
+)
+def test_fuel_sweep_parity(source, fn, args):
+    """Every budget from 0 up to a completed run: the run stops at the
+    interpreter's step, with its message and remaining fuel."""
+    fuel = 0
+    while True:
+        outcome = source_parity(source, fn, args, fuel=fuel)
+        if outcome[0] == "ok":
+            break
+        assert outcome == ("error", f"execution exceeded {fuel} steps")
+        fuel += 1
+    assert fuel > 5
+
+
+@pytest.mark.parametrize(
+    "body,args",
+    [
+        ("return xs[5]", ([1, 2],)),
+        ("return xs[-3]", ([1, 2],)),
+        ("return xs[True]", ([1, 2],)),
+        ("return xs[\"a\"]", ([1, 2],)),
+        ("return xs[2]", ((1, 2),)),
+        ("return xs[-9]", ("ab",)),
+        ("return xs[0]", ({0: 1},)),
+        ("return xs[3]", ({0: 1},)),
+        ("return xs[0]", (7,)),
+        ("xs[2] = 1\n    return xs", ([1, 2],)),
+        ("xs[-1] = 9\n    return xs", ([1, 2],)),
+        ("xs[0] = 1\n    return xs", ((1, 2),)),
+        ("xs[False] = 5\n    return xs", ([1, 2],)),
+        ("return len(xs)", (7,)),
+        ("return abs(xs)", (True,)),
+        ("return range(xs)", (20000,)),
+        ("return range(xs, 3)", (-20000,)),
+        ("return range(xs, 3)", (True,)),
+        ("return xs + 1", ("a",)),
+        ("return xs * 3", ([1],)),
+        ("return xs // 0", (4,)),
+        ("return xs < 2", ("a",)),
+        ("return -xs", ("a",)),
+        ("return -xs", (False,)),
+        ("return +xs", (True,)),
+        ("xs += 5\n    return xs", ([1],)),
+        ("xs += (5,)\n    return xs", ([1],)),
+        ("return xs.append(1), xs", ([1],)),
+        ("return xs.nope(1)", ([1],)),
+        ("return xs.upper()", (3,)),
+        ("return xs.get(1, 2)", ({},)),
+    ],
+)
+def test_fast_path_edges(body, args):
+    """Inline fast paths agree with the borrowed operators at their edges:
+    wrong types, bounds, bools, dicts and size limits."""
+    source_parity(f"def f(xs):\n    {body}\n", "f", args)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "return 5[0]",
+        "return 5(3)",
+        "return None[1:2]",
+        "5[0] = 1",
+        "None[0:1] = [1]",
+        "return 'ab'[1] + 'abc'[::2]",
+    ],
+)
+def test_literal_bases_compile_cleanly(body):
+    """Literal subscript and call bases lower to code CPython compiles
+    without a SyntaxWarning, and fail like the interpreter at run time."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        source_parity(f"def f():\n    {body}\n", "f", ())
+
+
+def test_deeply_nested_expression_compiles():
+    """Nesting past the inline indentation limit moves to helpers."""
+    expr = "x"
+    for depth in range(120):
+        expr = f"({depth} if x > {depth} else {expr})"
+    source = f"def f(x):\n    return {expr} and (x or (x and (x or x)))\n"
+    for x in (-1, 0, 35, 99):
+        source_parity(source, "f", (x,))
+
+
+def test_builtin_rebound_at_top_level():
+    """A builtin name the top level rebinds is looked up at run time."""
+    source = """def len(xs):
+    return 42
+def f(xs):
+    return len(xs) + abs(-1)
+"""
+    assert source_parity(source, "f", ([1],)) == ("ok", 43, ())
+    source = "abs = 3\ndef f(xs):\n    return abs(xs)\n"
+    assert source_parity(source, "f", (-2,)) == (
+        "error",
+        "int object is not callable",
+    )
 
 
 class TestTopLevelState:

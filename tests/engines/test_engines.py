@@ -5,8 +5,11 @@ CEGISMIN equals the brute-force minimum (the enumerative engine's result is
 minimal by construction since it enumerates in cost order).
 """
 
+import time
+
 import pytest
 
+from repro.core.rewriter import rewrite_submission
 from repro.core.spec import ProblemSpec
 from repro.eml import parse_error_model
 from repro.engines import BoundedVerifier, CegisMinEngine, EnumerativeEngine
@@ -14,6 +17,7 @@ from repro.engines.base import FIXED, NO_FIX
 from repro.engines.enumerative import assignments_up_to_cost
 from repro.mpy import parse_program
 from repro.mpy.values import Bounds
+from repro.problems import get_problem
 from repro.tilde.nodes import instantiate
 from repro.tilde.semantics import assignment_cost
 
@@ -187,6 +191,22 @@ class TestAssignmentEnumeration:
         assert len(registry) == 5
         total = sum(1 for _ in assignments_up_to_cost(registry, 2))
         assert total == 1 + 5 + 10
+
+    def test_each_level_is_yielded_without_scanning_costlier_ones(self):
+        # 20 holes: the cost <= 4 space is millions of assignments. The
+        # first cost-1 candidate must not wait for a scan of all of them
+        # (that took ~5 s and held the engine past its deadline, which it
+        # only checks between yields).
+        problem = get_problem("restaurant-rush")
+        source = problem.spec.reference_source.replace("+", "-", 1)
+        _, registry = rewrite_submission(
+            parse_program(source), problem.spec, problem.model
+        )
+        started = time.monotonic()
+        levels = assignments_up_to_cost(registry, 4)
+        assert next(levels)[1] == 0
+        assert next(levels)[1] == 1
+        assert time.monotonic() - started < 1.0
 
 
 class TestTimeout:

@@ -6,10 +6,12 @@ slots, no corrupted cache, and — once the faults are disarmed — records
 identical to a never-faulted run.
 
 Worker-process faults note: the parent's fault plan is shipped to
-workers at fork time and each worker consumes its *own* trigger counts,
-so a respawned worker is re-armed until the parent disarms. Convergence
-tests therefore disarm and then loop-grade until a clean record — the
-loop settles within a couple of recycles by construction.
+workers at fork time. The count of a counted ``worker.*`` fault goes to
+the first worker forked and no other, so it fires at most ``n`` times
+per pool; an uncounted one re-arms every respawned worker until the
+parent disarms. Convergence tests therefore disarm and then loop-grade
+until a clean record — the loop settles within a couple of recycles by
+construction.
 """
 
 import time
@@ -53,6 +55,17 @@ CORRECT = """def iterPower(base, exp):
     return result
 """
 
+
+PROD_BY_SUM = """def prodBySum(m_int, n_int):
+    result = 0
+    count = 0
+    while count < abs(n_int):
+        result += m_int
+        count += 1
+    if n_int < 0:
+        return -result
+    return result
+"""
 
 @pytest.fixture(scope="module")
 def warmup():
@@ -282,6 +295,49 @@ class TestWorkerFaults:
             assert "still busy" in record["detail"]
             faults.reset()
             assert grade_until_clean(pool)["status"] == "fixed"
+        finally:
+            pool.close()
+
+    def test_counted_worker_fault_does_not_rearm_the_respawn(self):
+        faults.arm("worker.reply_drop", count=1)
+        pool = make_pool(grace_s=1.0)
+        try:
+            pool.wait_ready()
+            record = pool.grade(PROBLEM, BUGGY, "cegismin", 0.5)
+            assert record["status"] == "error"
+            assert "still busy" in record["detail"]
+            # Still armed in the parent, but the one count was handed to
+            # the first worker and spent there: the respawn serves clean.
+            started = time.monotonic()
+            record = pool.grade(PROBLEM, BUGGY, "cegismin", 20.0)
+            assert record["status"] == "fixed"
+            assert time.monotonic() - started < 15.0
+            assert pool.info()["recycled"] == 1
+        finally:
+            pool.close()
+
+    def test_counted_worker_fault_goes_to_the_first_worker_forked(self):
+        # Sharded over two workers: the sorted shards put iterPower on
+        # worker 0 (forked first, so it holds the count) and prodBySum on
+        # worker 1 (forked second, armed with none of it).
+        faults.arm("worker.crash", count=1)
+        pool = make_pool(
+            problems=[PROBLEM, "prodBySum-6.00"], workers=2, shard=True
+        )
+        try:
+            pool.wait_ready()
+            record = pool.grade("prodBySum-6.00", PROD_BY_SUM, "cegismin", 20.0)
+            assert record["status"] == "already_correct"
+            assert pool.info()["recycled"] == 0
+            record = pool.grade(PROBLEM, BUGGY, "cegismin", 20.0)
+            assert record["status"] == "error"
+            assert "died mid-request" in record["detail"]
+            # Spent in worker 0: neither its respawn nor worker 1 fires.
+            record = pool.grade(PROBLEM, BUGGY, "cegismin", 20.0)
+            assert record["status"] == "fixed"
+            record = pool.grade("prodBySum-6.00", PROD_BY_SUM, "cegismin", 20.0)
+            assert record["status"] == "already_correct"
+            assert pool.info()["recycled"] == 1
         finally:
             pool.close()
 

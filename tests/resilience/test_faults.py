@@ -133,3 +133,19 @@ class TestProcessWidePlan:
         assert plan.should_fire("worker.crash")
         assert plan.should_fire("worker.crash")
         assert not plan.should_fire("worker.crash")
+
+    def test_active_spec_hands_counted_worker_faults_over(self):
+        faults.arm("worker.crash", count=2)
+        faults.arm("worker.warm_crash")
+        faults.arm("grade.error", count=1)
+        first = parse_spec(faults.active_spec())
+        assert first.should_fire("worker.crash")
+        assert first.should_fire("worker.crash")
+        # The count went to the first worker: a respawn gets none of it.
+        second = parse_spec(faults.active_spec())
+        assert not second.should_fire("worker.crash")
+        # Uncounted worker faults arm every spawn; other points' counts
+        # stay per process.
+        assert second.should_fire("worker.warm_crash")
+        assert second.should_fire("grade.error")
+        assert faults.should_fire("grade.error")
